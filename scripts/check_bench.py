@@ -24,12 +24,12 @@ sleep chains are the headline (≥2x everywhere), churn/event carry the
 fused-delivery win (must not lose), and chain is flat by design
 (Timeout construction dominates; the floor only catches a real loss).
 
-Finally a small seeded chaos cell (crashes + RSDS episodes + history
+Finally a small seeded chaos cell (fault injector + history
 recorder) runs under both dispatchers; the two results must be
-*identical* — this is the faulted fast path's parity gate at system
-scale — and its deterministic counters (ops/completed/failed/
-violations) are exact-gated through the ``micro`` section so the
-fault-injected workload itself cannot silently drift.
+*identical* — the system-scale parity gate for fast vs generic
+dispatch under faults — and its deterministic counters (ops/completed/
+failed/violations) are exact-gated through the ``micro`` section so
+the fault-injected workload itself cannot silently drift.
 
 The baseline file is sectioned (``bench-baseline/v2``): ``headlines``
 holds the Figure 7 latencies (tolerance-gated) and ``micro`` holds
@@ -148,8 +148,8 @@ def measure_faulted_cell() -> dict:
     """Seeded chaos cell under both dispatchers: parity + counters.
 
     Returns the cell's deterministic counters for the ``micro`` section
-    and raises if the fast-faulted and generic runs diverge in *any*
-    field — the system-scale parity gate for the faulted fast path.
+    and raises if the fast and generic runs diverge in *any* field —
+    the system-scale parity gate for fast vs generic under faults.
     """
     from dataclasses import asdict  # noqa: E402
 

@@ -252,7 +252,7 @@ class CacheCluster:
             yield self._remote_delay(REMOTE_WRITE, size)
         # Replicate to backups (buffered log writes, issued in parallel:
         # the slowest one bounds the latency).
-        backup_ids = self.coordinator.backups_of(key) or set(
+        backup_ids = self.coordinator.backups_of(key) or (
             self.coordinator.choose_backups(key, master_id)
         )
         longest = 0.0

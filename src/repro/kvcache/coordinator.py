@@ -49,8 +49,11 @@ class Coordinator:
     def master_of(self, key: str) -> Optional[str]:
         return self._master_of.get(key)
 
-    def backups_of(self, key: str) -> Set[str]:
-        return set(self._backups_of.get(key, set()))
+    def backups_of(self, key: str) -> List[str]:
+        """The key's backup server ids, sorted: callers iterate this
+        list to place copies and draw replication latencies, so its
+        order must not depend on string hashing."""
+        return sorted(self._backups_of.get(key, ()))
 
     def holds(self, key: str) -> bool:
         return key in self._master_of

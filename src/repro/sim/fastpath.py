@@ -1,28 +1,25 @@
-"""Code-generated dispatch loops for :class:`repro.sim.kernel.Kernel`.
+"""Code-generated dispatch loop for :class:`repro.sim.kernel.Kernel`.
 
 This is the kernel-side counterpart of :mod:`repro.ml.compiled`: the
 event-dispatch loop is emitted as Python source once at import time,
-``exec``-compiled, and installed per kernel at construction.  Three
-specializations over the generic loop:
+``exec``-compiled, and installed on every kernel at construction —
+traced and fault-injected kernels included.  Two specializations over
+the generic loop:
 
-* the heap/FIFO drain, the ``_TRIGGERED`` delivery arm and the process
-  resume are fused into one flat function — a process wake runs the
-  generator ``send`` directly instead of dispatching through
-  ``Event._run_callbacks`` → ``Process._resume`` (two frames per event
-  saved);
-* **fused callback delivery**: a triggered event whose callback is a
-  plain :meth:`Process._resume` bound method (the overwhelmingly
-  common case — one process blocked on a timeout, an event or another
-  process) delivers by running the generator ``send``/``throw``
-  inline, and list (fan-in) deliveries inline each process-resume
-  element the same way; only foreign callables (condition checks,
-  ``call_later`` arms, user hooks) still dispatch through a call;
+* **fused delivery**: the heap/FIFO drain, the ``_TRIGGERED`` arm and
+  the process resume are one flat function.  A process wake (bootstrap
+  or sleep) and a triggered event whose one waiter is a plain
+  :meth:`Process._resume` bound method both run the same inline
+  delivery chain (generator ``send``/``throw``), and list (fan-in)
+  deliveries inline each process-resume element the same way; only
+  foreign callables (condition checks, ``call_later`` arms, span
+  finishers, user hooks) still dispatch through a call;
 * **direct resume**: when a resumed process yields a positive delay and
   its wake instant is strictly earlier than everything on the heap
   (with the FIFO empty), the loop advances the clock and resumes the
   generator immediately — no heap push/pop, no sequence number.
 
-All are provably order-preserving, so schedules are bit-identical to
+Both are provably order-preserving, so schedules are bit-identical to
 the generic loop (CI runs the bench gate with the fast path forced on
 and off and diffs the exported metrics):
 
@@ -35,32 +32,19 @@ and off and diffs the exported metrics):
   occurrence regardless of its sequence number (strictly earliest wake
   time, empty FIFO), and nothing else can run between the skipped push
   and the skipped pop, so no observer exists for the elided state
-  (``_wake`` bookkeeping, ``_target`` reset, heap entry).  Skipping
-  the sequence-number mint is safe because sequence numbers only break
-  ties between co-resident heap entries and the skipped mint leaves
-  every other mint in the same relative order.  In ``run_until`` the
-  delivery chain additionally refuses direct resume while delivering
-  the awaited event itself — the generic loop returns control to the
-  drain right there, and the fast path must stop at the same instant.
+  (``_wake`` bookkeeping, heap entry).  Skipping the sequence-number
+  mint is safe because sequence numbers only break ties between
+  co-resident heap entries and the skipped mint leaves every other
+  mint in the same relative order.  In ``run_until`` the chain also
+  refuses direct resume while delivering (or resuming) the awaited
+  event itself — the generic loop returns control to the drain right
+  there, and the fast path must stop at the same instant.
 
-Variant selection happens once at kernel construction (the same policy
-:class:`~repro.sim.kernel._TracedProcess` uses): kernels with tracing
-enabled keep the generic loop, because the fused resume would skip the
-per-process span bookkeeping.  Fault tooling installs the **faulted
-variant** via :meth:`~repro.sim.kernel.Kernel.use_faulted_dispatch`:
-the same generated semantics compiled as a separate unit
-(``<sim-fastpath-faulted>``), so profiles and tracebacks attribute
-failure-path dispatch distinctly and the variant is parity-gated on
-its own.  The fault state lives on the components, not the kernel —
-the injector's driver and episode processes are ordinary processes —
-so fault-injected kernels keep the fused drain and the direct-resume
-chain for the whole run instead of downgrading to the generic loop.
-
-Opt out globally with ``REPRO_SIM_FASTPATH=0`` (or ``set_enabled``),
-which routes every variant (faulted included) through the generic
-loop and also disables the batched-RNG wiring keyed off
-:func:`rng_batching_enabled`, so "off" is the exact pre-fast-path
-system.
+Opt out globally with ``REPRO_SIM_FASTPATH=0`` (or ``set_enabled``):
+kernels built afterwards run the generic ``Kernel.run``/``run_until``
+— the parity oracle — and the batched-RNG wiring keyed off
+:func:`rng_batching_enabled` is disabled too, so "off" is the exact
+pre-fast-path system.
 """
 
 from __future__ import annotations
@@ -110,93 +94,21 @@ def rng_batching_enabled() -> bool:
 # Source templates.
 # ---------------------------------------------------------------------------
 
-#: Fused resume: advance the generator until it blocks, schedules a
-#: future wake that something else precedes, or terminates.  Mirrors
-#: ``Process._resume`` statement for statement; ``{limit_guard}``
-#: bounds direct resume by ``run(until=...)``'s limit.  ``event`` is
-#: the process, ``when`` the current instant (updated in place so the
-#: enclosing drain keeps using the advanced clock).
-_RESUME_CHAIN = """\
-kernel._active_process = event
-send = event._send
-while True:
-    try:
-        target = send(None)
-    except StopIteration as stop:
-        kernel._active_process = None
-        event._target = None
-        event._value = stop.value
-        event._state = _TRIGGERED
-        ipush(event)
-        break
-    except Interrupt as interrupt_exc:
-        kernel._active_process = None
-        event._target = None
-        event._exception = interrupt_exc
-        event.defused = False
-        event._state = _TRIGGERED
-        ipush(event)
-        break
-    except BaseException as failure:
-        kernel._active_process = None
-        event._target = None
-        event._exception = failure
-        event.defused = False
-        event._state = _TRIGGERED
-        ipush(event)
-        break
-    cls = target.__class__
-    if cls is float or cls is int:
-        if target < 0:
-            raise SimulationError(f"negative sleep delay: {{target}}")
-        wake = when + target
-        if wake == when:
-            event._wake = when
-            ipush(event)
-            break
-        if not immediate and (not queue or wake < queue[0][0]){limit_guard}:
-            kernel._now = when = wake
-            continue
-        event._wake = wake
-        heappush(queue, (wake, seqn(), event))
-        break
-    try:
-        foreign = target.kernel is not kernel
-    except AttributeError:
-        raise SimulationError(
-            f"process {{event.name!r}} yielded {{target!r}}, "
-            "expected an Event"
-        ) from None
-    if foreign:
-        raise SimulationError("yielded an event from another kernel")
-    event._target = target
-    if target._state != _PROCESSED:
-        callbacks = target.callbacks
-        if callbacks is None:
-            target.callbacks = event._cb
-        elif callbacks.__class__ is list:
-            callbacks.append(event._cb)
-        else:
-            target.callbacks = [callbacks, event._cb]
-    else:
-        target.wait(event._cb)
-    break"""
-
-#: Fused single-callback delivery: the triggered event's one waiter is
-#: a plain ``Process._resume`` bound method, so deliver by advancing
-#: the generator inline — value on the first send, ``None`` on the
-#: direct-resume continuations, throw (after the ``defused``
-#: handshake) when the event failed.  ``event`` is the delivered
-#: event, ``proc`` the waiter; the sleep path clears ``proc._target``
-#: exactly like ``Process._resume`` does (entering via a delivery the
-#: process always has a live ``_target``).  ``{target_guard}`` keeps
-#: ``run_until`` from sailing past the awaited event's own delivery.
+#: Fused delivery chain: advance ``proc``'s generator inline until it
+#: blocks, schedules a future wake that something else precedes, or
+#: terminates.  Mirrors ``Process._resume`` statement for statement:
+#: send ``value`` first (``None`` on the direct-resume continuations),
+#: or throw ``exc`` after the ``defused`` handshake on ``event``.  The
+#: arms set ``proc``/``value``/``exc`` before entering: a process wake
+#: passes the process itself with ``None``/``None``, a single-waiter
+#: delivery passes the waiter and the delivered event's outcome.
+#: ``when`` is the current instant (updated in place so the enclosing
+#: drain keeps using the advanced clock); ``{limit_guard}`` bounds
+#: direct resume by ``run(until=...)``'s limit and ``{target_guard}``
+#: keeps ``run_until`` from sailing past the awaited event.
 _DELIVERY_CHAIN = """\
-proc = callbacks.__self__
 kernel._active_process = proc
 send = proc._send
-value = event._value
-exc = event._exception
 while True:
     try:
         if exc is None:
@@ -209,14 +121,6 @@ while True:
         kernel._active_process = None
         proc._target = None
         proc._value = stop.value
-        proc._state = _TRIGGERED
-        ipush(proc)
-        break
-    except Interrupt as interrupt_exc:
-        kernel._active_process = None
-        proc._target = None
-        proc._exception = interrupt_exc
-        proc.defused = False
         proc._state = _TRIGGERED
         ipush(proc)
         break
@@ -293,14 +197,6 @@ for callback in callbacks:
         proc._state = _TRIGGERED
         ipush(proc)
         continue
-    except Interrupt as interrupt_exc:
-        kernel._active_process = None
-        proc._target = None
-        proc._exception = interrupt_exc
-        proc.defused = False
-        proc._state = _TRIGGERED
-        ipush(proc)
-        continue
     except BaseException as failure:
         kernel._active_process = None
         proc._target = None
@@ -344,11 +240,11 @@ for callback in callbacks:
 
 #: One occurrence: the inlined ``_TRIGGERED`` arm (Event._run_callbacks
 #: without the method call, with process resumes fused through the
-#: delivery chains), the ``_PENDING`` arm fused with the resume chain,
-#: and the ``_PROCESSED`` redelivery arm via the method.  The fused
-#: single-resume branch skips the unhandled-failure tail: a failed
-#: event delivered to a process is defused on the throw path, so the
-#: tail can never raise there.
+#: delivery chains), the ``_PENDING`` arm (process bootstrap or sleep
+#: wake) through the same delivery chain, and the ``_PROCESSED``
+#: redelivery arm via the method.  The fused single-resume branch skips
+#: the unhandled-failure tail: a failed event delivered to a process is
+#: defused on the throw path, so the tail can never raise there.
 _DISPATCH_ARMS = """\
 state = event._state
 if state == _TRIGGERED:
@@ -360,6 +256,9 @@ if state == _TRIGGERED:
             raise exc
     elif callbacks.__class__ is _MethodType and callbacks.__func__ is _PROC_RESUME:
         event.callbacks = None
+        proc = callbacks.__self__
+        value = event._value
+        exc = event._exception
 {delivery_chain}
     else:
         event.callbacks = None
@@ -380,7 +279,10 @@ elif state == _PENDING:
     else:
         resumable = False
     if resumable:
-{resume_chain}
+        proc = event
+        value = None
+        exc = None
+{delivery_chain}
 else:
     event._run_callbacks()"""
 
@@ -467,9 +369,6 @@ def _indent(block: str, pad: str) -> str:
 def _arms(limit_guard: str, target_guard: str) -> str:
     """The three-state dispatch arms with every chain specialized."""
     return _DISPATCH_ARMS.format(
-        resume_chain=_indent(
-            _RESUME_CHAIN.format(limit_guard=limit_guard), " " * 8
-        ),
         delivery_chain=_indent(
             _DELIVERY_CHAIN.format(
                 limit_guard=limit_guard, target_guard=target_guard
@@ -497,51 +396,30 @@ def dispatch_source() -> str:
 
 
 _FACTORIES: Optional[tuple] = None
-_FAULTED_FACTORIES: Optional[tuple] = None
-
-
-def _compile_variant(source: str, internals: dict, filename: str) -> tuple:
-    namespace = dict(internals)
-    exec(  # noqa: S102 - the source is generated above, not user input
-        compile(source, filename, "exec"), namespace
-    )
-    return (namespace["make_run"], namespace["make_run_until"])
 
 
 def compile_dispatch(kernel_internals: dict) -> None:
-    """Exec-compile the dispatch loops against the kernel's internals.
+    """Exec-compile the dispatch loop against the kernel's internals.
 
     Called once from the bottom of :mod:`repro.sim.kernel`;
     ``kernel_internals`` supplies ``heappush``/``heappop``, the event
     state constants, the ``Process._resume`` identity pair used by the
-    fused delivery arms, ``SimulationError`` and ``Interrupt`` so this
-    module never imports the kernel (no circular import).
-
-    Two variants compile from the same source: the standard unit
-    (``<sim-fastpath>``) and the faulted unit
-    (``<sim-fastpath-faulted>``) that fault-injected kernels install.
-    Identical semantics — the split exists so failure-path dispatch is
-    attributable (profiles, tracebacks) and parity-gated on its own.
+    fused delivery arms and ``SimulationError`` so this module never
+    imports the kernel (no circular import).
     """
-    global _FACTORIES, _FAULTED_FACTORIES
-    source = dispatch_source()
-    _FACTORIES = _compile_variant(source, kernel_internals, "<sim-fastpath>")
-    _FAULTED_FACTORIES = _compile_variant(
-        source, kernel_internals, "<sim-fastpath-faulted>"
+    global _FACTORIES
+    namespace = dict(kernel_internals)
+    exec(  # noqa: S102 - the source is generated above, not user input
+        compile(dispatch_source(), "<sim-fastpath>", "exec"), namespace
     )
+    _FACTORIES = (namespace["make_run"], namespace["make_run_until"])
 
 
-def make_dispatch(kernel, faulted: bool = False) -> Optional[tuple]:
-    """Specialized ``(run, run_until)`` for ``kernel``, or ``None``.
-
-    Variant selection happens here, once per kernel: traced kernels
-    (and anything after ``use_generic_dispatch``) stay on the generic
-    loop.  ``faulted=True`` hands out the separately compiled faulted
-    unit — same semantics, distinct code object — for kernels driven
-    by a :class:`~repro.faults.injector.FaultInjector`.
-    """
-    factories = _FAULTED_FACTORIES if faulted else _FACTORIES
-    if not _ENABLED or factories is None or kernel._tracing:
+def make_dispatch(kernel) -> Optional[tuple]:
+    """Specialized ``(run, run_until)`` for ``kernel``, or ``None`` when
+    the fast path is globally disabled (the kernel then runs the
+    generic loop)."""
+    if not _ENABLED or _FACTORIES is None:
         return None
-    make_run, make_run_until = factories
+    make_run, make_run_until = _FACTORIES
     return make_run(kernel), make_run_until(kernel)

@@ -29,11 +29,15 @@ little uniformity for speed:
   than immediate entries created at ``T``, so draining heap-then-FIFO
   preserves the exact global schedule order;
 * :meth:`Kernel.run` runs callbacks inline instead of dispatching
-  through :meth:`Event._run_callbacks`;
+  through :meth:`Event._run_callbacks`, and every kernel installs the
+  generated dispatch loop of :mod:`repro.sim.fastpath` (the generic
+  ``run``/``run_until`` bodies below are the parity oracle, selected
+  only when the fast path is globally disabled);
 * tracing is decided once per kernel: :meth:`Kernel.process` builds a
   plain :class:`Process` (no span fields, no enabled-checks) unless the
   kernel was constructed with tracing on, in which case it builds
-  :class:`_TracedProcess`;
+  :class:`_TracedProcess`, whose span closes from an ordinary
+  termination callback — so traced kernels run the same loop;
 * starting a process enqueues the process object itself instead of a
   bootstrap :class:`Event`, and waiting on an already-processed event
   reuses the event's own delivery slot (``_redeliver``) instead of
@@ -364,8 +368,8 @@ class Process(Event):
             return
         Event._run_callbacks(self)
 
-    def _resume(self, event: Event) -> Optional[str]:
-        """Advance the generator once; returns a status on termination."""
+    def _resume(self, event: Event) -> None:
+        """Advance the generator once."""
         kernel = self.kernel
         # Set on entry, cleared only on termination: between resumes the
         # field names the last process that ran (see Kernel.active_process).
@@ -383,24 +387,16 @@ class Process(Event):
             self._value = stop.value
             self._state = _TRIGGERED
             kernel._ipush(self)
-            return "ok"
-        except Interrupt as interrupt_exc:
-            # An unhandled Interrupt terminates the process as a failure.
-            kernel._active_process = None
-            self._target = None
-            self._exception = interrupt_exc
-            self.defused = False
-            self._state = _TRIGGERED
-            kernel._ipush(self)
-            return "interrupted"
+            return
         except BaseException as failure:  # noqa: BLE001 - propagate via event
+            # An unhandled Interrupt terminates the process as a failure.
             kernel._active_process = None
             self._target = None
             self._exception = failure
             self.defused = False
             self._state = _TRIGGERED
             kernel._ipush(self)
-            return "failed"
+            return
         # Fast sleep path: a bare delay re-enqueues the process itself.
         cls = target.__class__
         if cls is float or cls is int:
@@ -414,7 +410,7 @@ class Process(Event):
                 kernel._ipush(self)
             else:
                 heappush(kernel._queue, (when, kernel._seqn(), self))
-            return None
+            return
         # Duck-typed Event check: every Event carries ``kernel``, so the
         # identity test doubles as the type test (saves an isinstance per
         # yield on the hot path).
@@ -437,7 +433,6 @@ class Process(Event):
                 target.callbacks = [callbacks, self._cb]
         else:
             target.wait(self._cb)
-        return None
 
 
 #: Shared sentinel delivered on a process's first resume: a bare Event
@@ -448,19 +443,30 @@ _BOOTSTRAP._exception = None
 
 
 class _TracedProcess(Process):
-    """Process variant that records a ``sim.process`` span."""
+    """Process variant that records a ``sim.process`` span.
+
+    The span opens at construction and closes from a termination
+    callback the process registers on itself (so it runs first, at the
+    termination instant); resumes stay plain :meth:`Process._resume`,
+    so the fused dispatch arms handle traced processes like any other.
+    """
 
     __slots__ = ("_span",)
 
     def __init__(self, kernel: "Kernel", generator: Generator, name: str = ""):
         Process.__init__(self, kernel, generator, name)
         self._span = kernel.tracer.start("sim.process", process=self.name)
+        self.callbacks = self._finish_span
 
-    def _resume(self, event: Event) -> Optional[str]:
-        status = Process._resume(self, event)
-        if status is not None:
-            self._span.finish(status=status)
-        return status
+    def _finish_span(self, _event: Event) -> None:
+        exc = self._exception
+        if exc is None:
+            status = "ok"
+        elif isinstance(exc, Interrupt):
+            status = "interrupted"
+        else:
+            status = "failed"
+        self._span.finish(status=status)
 
 
 class _Condition(Event):
@@ -553,7 +559,6 @@ class Kernel:
         "_tracing",
         "_fast_run",
         "_fast_run_until",
-        "_dispatch_variant",
     )
 
     def __init__(self):
@@ -573,55 +578,16 @@ class Kernel:
         self.tracer = tracer_for_clock(lambda: self._now)
         # Cached once: picks the traced/untraced Process class below.
         self._tracing = self.tracer.enabled
-        # Generated dispatch loops (see repro.sim.fastpath): selected
-        # once per kernel; None routes run()/run_until() through the
-        # generic bodies below (traced kernels, knob off).
-        dispatch = _fastpath.make_dispatch(self)
-        if dispatch is None:
-            self._fast_run = None
-            self._fast_run_until = None
-            self._dispatch_variant = "generic"
-        else:
-            self._fast_run, self._fast_run_until = dispatch
-            self._dispatch_variant = "fast"
-
-    def use_generic_dispatch(self) -> None:
-        """Route this kernel through the generic (reference) loop.
-
-        The global opt-out (``REPRO_SIM_FASTPATH=0``) and tracing both
-        land here; harmless when the fast path was never installed.
-        """
-        self._fast_run = None
-        self._fast_run_until = None
-        self._dispatch_variant = "generic"
-
-    def use_faulted_dispatch(self) -> None:
-        """Install the faulted fast-path variant on this kernel.
-
-        Fault tooling (:class:`~repro.faults.injector.FaultInjector`)
-        calls this instead of downgrading to the generic loop: the
-        fault state lives on the components, not the kernel, so the
-        fused drain and direct-resume chain stay valid for the whole
-        run.  The variant is the same generated semantics compiled as
-        its own unit (``<sim-fastpath-faulted>``), parity-gated like
-        the standard one.  Falls back to the generic loop when the
-        fast path is globally disabled or this kernel is traced.
-        """
-        dispatch = _fastpath.make_dispatch(self, faulted=True)
-        if dispatch is None:
-            self.use_generic_dispatch()
-        else:
-            self._fast_run, self._fast_run_until = dispatch
-            self._dispatch_variant = "fast-faulted"
+        # Generated dispatch loop (see repro.sim.fastpath); None routes
+        # run()/run_until() through the generic bodies below (knob off).
+        self._fast_run, self._fast_run_until = _fastpath.make_dispatch(
+            self
+        ) or (None, None)
 
     @property
     def dispatch_variant(self) -> str:
-        """Which dispatch loop this kernel runs.
-
-        ``"fast"`` (generated), ``"fast-faulted"`` (generated, faulted
-        compile unit) or ``"generic"`` (reference loop).
-        """
-        return self._dispatch_variant
+        """``"fast"`` (generated loop) or ``"generic"`` (reference loop)."""
+        return "generic" if self._fast_run is None else "fast"
 
     @property
     def now(self) -> float:
@@ -750,18 +716,6 @@ class Kernel:
         return AnyOf(self, events)
 
     # -- execution -------------------------------------------------------
-
-    def step(self) -> None:
-        queue = self._queue
-        immediate = self._immediate
-        if queue and (not immediate or queue[0][0] == self._now):
-            when, _seq, event = heappop(queue)
-            if when < self._now:
-                raise SimulationError("time went backwards")
-            self._now = when
-        else:
-            event = immediate.popleft()  # IndexError mirrors empty heap
-        event._run_callbacks()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
@@ -940,14 +894,11 @@ _fastpath.compile_dispatch(
         "_TRIGGERED": _TRIGGERED,
         "_PROCESSED": _PROCESSED,
         "_INF": _INF,
-        # The fused delivery arms recognize a plain process-resume
-        # callback by identity: a bound method whose function is
-        # exactly Process._resume (subclass overrides — _TracedProcess
-        # — fail the check and dispatch through the call, preserving
-        # their span bookkeeping).
+        # The fused delivery arms recognize a process-resume callback
+        # by identity: a bound method whose function is exactly
+        # Process._resume; any other callable dispatches through a call.
         "_MethodType": type(_BOOTSTRAP._run_callbacks),
         "_PROC_RESUME": Process._resume,
         "SimulationError": SimulationError,
-        "Interrupt": Interrupt,
     }
 )

@@ -1,11 +1,10 @@
-"""Bit-identical parity for the faulted fast-path dispatch variant.
+"""Bit-identical fast vs generic dispatch under fault injection.
 
-The :class:`~repro.faults.injector.FaultInjector` now keeps the codegen
-dispatch loop live (the ``fast-faulted`` compile unit) instead of
-downgrading to the generic interpreter.  These tests are the acceptance
-evidence: the checked-in minimized chaos reproducers and a fixed-seed
-chaos cell must produce *equal* results — every recorded data-plane op,
-every counter, zero divergence — with the fast path on and off.
+Fault-injected kernels keep the generated dispatch loop they were
+built with.  These tests are the acceptance evidence: the checked-in
+minimized chaos reproducers and a fixed-seed chaos cell must produce
+*equal* results — every recorded data-plane op, every counter, zero
+divergence — with the fast path on and off.
 """
 
 import json
@@ -105,9 +104,7 @@ def test_fixed_seed_chaos_cell_history_parity(restore_fastpath):
             start_at=ofc.kernel.now,
         )
         injector = FaultInjector(ofc, schedule)
-        assert ofc.kernel.dispatch_variant == (
-            "fast-faulted" if enabled else "generic"
-        )
+        assert ofc.kernel.dispatch_variant == ("fast" if enabled else "generic")
         injector.start()
         stats = engine.run(30.0)
         settle = max(ofc.kernel.now, schedule.duration) + 20.0

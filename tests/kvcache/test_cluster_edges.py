@@ -35,7 +35,7 @@ def test_single_node_cluster_has_no_backups():
         yield from cluster.put("k", "v", 100, caller="solo")
 
     run(kernel, scenario())
-    assert cluster.coordinator.backups_of("k") == set()
+    assert cluster.coordinator.backups_of("k") == []
     assert cluster.contains("k")
 
 
@@ -100,7 +100,7 @@ def test_backups_skip_down_nodes(env):
         yield from cluster.put("k", "v", 100, caller="w0")
 
     run(kernel, scenario())
-    assert cluster.coordinator.backups_of("k") == {"w1"}
+    assert cluster.coordinator.backups_of("k") == ["w1"]
 
 
 def test_get_after_master_crash_without_recovery_is_miss(env):

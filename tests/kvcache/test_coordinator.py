@@ -75,7 +75,7 @@ def test_placement_bookkeeping_roundtrip():
     coordinator = make_coordinator()
     coordinator.record_placement("k", "w0", ["w1", "w2"])
     assert coordinator.master_of("k") == "w0"
-    assert coordinator.backups_of("k") == {"w1", "w2"}
+    assert coordinator.backups_of("k") == ["w1", "w2"]
     assert coordinator.holds("k")
     assert coordinator.keys_mastered_by("w0") == ["k"]
     coordinator.forget("k")
@@ -83,12 +83,21 @@ def test_placement_bookkeeping_roundtrip():
     assert not coordinator.holds("k")
 
 
+def test_backups_read_back_sorted():
+    """Placement order never leaks into iteration order: callers draw
+    replication latencies per backup, so a hash-ordered set would make
+    schedules depend on PYTHONHASHSEED."""
+    coordinator = make_coordinator()
+    coordinator.record_placement("k", "w1", ["w2", "w0"])
+    assert coordinator.backups_of("k") == ["w0", "w2"]
+
+
 def test_record_master_change_swaps_roles():
     coordinator = make_coordinator()
     coordinator.record_placement("k", "w0", ["w1", "w2"])
     coordinator.record_master_change("k", "w1")
     assert coordinator.master_of("k") == "w1"
-    assert coordinator.backups_of("k") == {"w0", "w2"}
+    assert coordinator.backups_of("k") == ["w0", "w2"]
 
 
 def test_record_master_change_unknown_key_raises():

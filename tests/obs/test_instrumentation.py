@@ -110,3 +110,32 @@ def test_platform_obs_registry_snapshot():
     assert "cache_size_peak_bytes" in collected["ofc"]
     assert collected["invokers"]["nodes"] == len(system.platform.invokers)
     assert collected["table2"]
+
+
+def test_traced_chaos_cell_matches_untraced():
+    """Tracing observes the schedule without changing it: a seeded
+    fault-injected cell gives identical results traced and untraced,
+    and the traced run records process spans."""
+    from dataclasses import asdict
+
+    from repro.bench.chaos import ChaosCell, run_chaos_cell
+    from repro.obs import active_tracers
+
+    cell = ChaosCell(
+        backend="ofc",
+        intensity="high",
+        quota_policy="none",
+        n_tenants=24,
+        mean_interval_s=6.0,
+        duration_s=60.0,
+        seed=11,
+        warmup_s=10.0,
+    )
+    untraced = asdict(run_chaos_cell(cell))
+    enable_tracing()
+    traced = asdict(run_chaos_cell(cell))
+    assert traced == untraced
+    assert traced["ops"] > 0
+    assert traced["crashes"] > 0 and traced["episodes"] > 0
+    (tracer,) = active_tracers()
+    assert tracer.count("sim.process") > 0

@@ -1,12 +1,13 @@
 """Dispatch-order parity for the generated kernel fast path.
 
 Every test drives the same seeded scenario through a kernel with the
-generated dispatch installed and one forced onto the generic loop, and
-requires the observable traces — (time, tag) logs, return values, final
-clocks — to be *equal*, not approximately equal.  This is the
-acceptance bar the bench-gate CI job enforces at system scale; here the
-coverage is the kernel patterns themselves (sleep chains, same-instant
-ties, zero delays, events, interrupts, run-until, limits, call_later).
+generated dispatch installed and one built with the fast path disabled
+(the generic reference loop), and requires the observable traces —
+(time, tag) logs, return values, final clocks, process spans — to be
+*equal*, not approximately equal.  This is the acceptance bar the
+bench-gate CI job enforces at system scale; here the coverage is the
+kernel patterns themselves (sleep chains, same-instant ties, zero
+delays, events, interrupts, run-until, limits, call_later, tracing).
 """
 
 import pytest
@@ -19,13 +20,14 @@ from repro.sim.kernel import Interrupt, Kernel, SimulationError
 def both_kernels():
     """Yield a factory for (fast, generic) kernel pairs."""
     original = fastpath.enabled()
-    fastpath.set_enabled(True)
 
     def make():
+        fastpath.set_enabled(True)
         fast = Kernel()
-        assert fast._fast_run is not None, "fast path not installed"
+        fastpath.set_enabled(False)
         generic = Kernel()
-        generic.use_generic_dispatch()
+        assert fast.dispatch_variant == "fast", "fast path not installed"
+        assert generic.dispatch_variant == "generic"
         return fast, generic
 
     yield make
@@ -210,21 +212,26 @@ def test_late_wait_redelivery_parity(both_kernels):
 
 def test_run_until_awaited_event_delivery_parity(both_kernels):
     """run_until's target guard: delivery to the awaited event must
-    stop the loop at the same instant with identical leftovers."""
+    stop the loop at the same instant with identical leftovers, even
+    when its waiter then sleeps past an empty horizon (where direct
+    resume would otherwise carry the clock on)."""
 
     def scenario(k, log):
         gate = k.event()
 
-        def opener():
-            yield 2.5
-            gate.succeed("done")
+        def follower():
+            value = yield gate
+            log.append((k.now, "follower", value))
+            yield 50.0
+            log.append((k.now, "follower-late"))
 
         def noise():
-            for _ in range(10):
+            for _ in range(3):
                 yield 0.7
                 log.append((k.now, "n"))
 
-        k.process(opener())
+        k.call_later(lambda: 2.5, lambda _e: gate.succeed("done"))
+        k.process(follower())
         k.process(noise())
         value = k.run_until(gate)
         log.append((k.now, "until", value))
@@ -310,6 +317,109 @@ def test_run_until_event_parity(both_kernels):
         k.run()  # drain the leftover noise identically
 
     _assert_parity(both_kernels, scenario)
+
+
+def test_mixed_scenario_parity(both_kernels):
+    """Sleeps, shared-event fan-out, timeouts and process joins
+    interleaved in one schedule."""
+
+    def scenario(k, log):
+        gate = k.event()
+
+        def waiter(name):
+            value = yield gate
+            log.append((k.now, name, value))
+            yield k.timeout(0.25)
+            log.append((k.now, name, "done"))
+
+        def sleeper():
+            for i in range(8):
+                yield 0.4
+                log.append((k.now, "tick", i))
+
+        def opener():
+            yield 1.1
+            gate.succeed("open")
+
+        def child(n):
+            yield 0.2 * n
+            return n
+
+        def parent():
+            total = 0
+            for n in range(1, 4):
+                total += yield k.process(child(n))
+            log.append((k.now, "total", total))
+
+        for i in range(3):
+            k.process(waiter(f"w{i}"))
+        k.process(sleeper())
+        k.process(opener())
+        k.process(parent())
+        k.run()
+
+    _assert_parity(both_kernels, scenario)
+
+
+def test_traced_process_spans_parity(both_kernels):
+    """Under tracing both loops must resume processes identically and
+    close every ``sim.process`` span at the termination instant with
+    the right status: a return, an unhandled interrupt and a raise."""
+    from repro.obs import trace as trace_mod
+
+    def scenario(k, log):
+        def returner():
+            yield 1.5
+            log.append((k.now, "returned"))
+            return "r"
+
+        def victim():
+            yield 100.0
+            log.append((k.now, "overslept"))
+
+        def raiser():
+            yield 2.5
+            raise ValueError("boom")
+
+        def watcher(target, failing):
+            yield 2.0
+            target.interrupt(cause="stop")
+            try:
+                yield target
+            except Interrupt as exc:
+                log.append((k.now, "victim-interrupted", exc.cause))
+            try:
+                yield failing
+            except ValueError as exc:
+                log.append((k.now, "raiser-failed", str(exc)))
+
+        value = k.run_until(k.process(returner(), name="returner"))
+        log.append((k.now, "run_until", value))
+        target = k.process(victim(), name="victim")
+        failing = k.process(raiser(), name="raiser")
+        k.process(watcher(target, failing), name="watcher")
+        k.run()
+
+    def process_spans(k, _result, _log):
+        return sorted(
+            (s.labels["process"], s.start, s.end, s.labels["status"])
+            for s in k.tracer.spans
+            if s.name == "sim.process"
+        )
+
+    was_enabled = trace_mod.tracing_enabled()
+    trace_mod.enable_tracing()
+    try:
+        spans = _assert_parity(both_kernels, scenario, process_spans)[1]
+    finally:
+        if not was_enabled:
+            trace_mod.disable_tracing()
+    assert spans == [
+        ("raiser", 1.5, 4.0, "failed"),
+        ("returner", 0.0, 1.5, "ok"),
+        ("victim", 1.5, 3.5, "interrupted"),
+        ("watcher", 1.5, 4.0, "ok"),
+    ]
 
 
 def test_negative_delay_raises_on_both(both_kernels):
@@ -414,15 +524,15 @@ def test_knob_disables_install():
         fastpath.set_enabled(original)
 
 
-def test_use_generic_dispatch_uninstalls():
+def test_generic_oracle_kernel_runs():
+    """A kernel built with the fast path disabled is the generic oracle:
+    nothing generated is installed and the reference loop runs alone."""
     original = fastpath.enabled()
     try:
-        fastpath.set_enabled(True)
+        fastpath.set_enabled(False)
         k = Kernel()
-        assert k._fast_run is not None
-        k.use_generic_dispatch()
+        assert k.dispatch_variant == "generic"
         assert k._fast_run is None and k._fast_run_until is None
-        # The generic loop still runs fine afterwards.
         ticks = []
 
         def ticker():
@@ -436,7 +546,7 @@ def test_use_generic_dispatch_uninstalls():
         fastpath.set_enabled(original)
 
 
-def test_traced_kernels_fall_back_to_generic():
+def test_traced_kernels_install_generated_loop():
     from repro.obs import trace as trace_mod
 
     original = fastpath.enabled()
@@ -445,18 +555,18 @@ def test_traced_kernels_fall_back_to_generic():
         fastpath.set_enabled(True)
         trace_mod.enable_tracing()
         k = Kernel()
-        assert k._tracing
-        assert k._fast_run is None, "traced kernel must use the generic loop"
+        assert k.tracer.enabled
+        assert k.dispatch_variant == "fast"
+        assert k._fast_run is not None and k._fast_run_until is not None
     finally:
         if not was_enabled:
             trace_mod.disable_tracing()
         fastpath.set_enabled(original)
 
 
-def test_fault_injector_keeps_faulted_fast_path():
-    """Injecting faults swaps to the faulted codegen variant, not the
-    generic loop (the pre-faulted-variant behavior downgraded every
-    chaos cell to generic dispatch for its whole run)."""
+def test_fault_injector_leaves_dispatch_variant_unchanged():
+    """Fault-injected kernels keep the loop they were built with: the
+    fault state lives on the components, not the kernel."""
     from repro.core.ofc import OFCPlatform
     from repro.faults.injector import FaultInjector
     from repro.faults.schedule import FaultSchedule
@@ -466,10 +576,11 @@ def test_fault_injector_keeps_faulted_fast_path():
         fastpath.set_enabled(True)
         ofc = OFCPlatform(seed=1)
         assert ofc.kernel.dispatch_variant == "fast"
+        run, run_until = ofc.kernel._fast_run, ofc.kernel._fast_run_until
         FaultInjector(ofc, FaultSchedule(events=[]))
-        assert ofc.kernel.dispatch_variant == "fast-faulted"
-        assert ofc.kernel._fast_run is not None
-        assert ofc.kernel._fast_run_until is not None
+        assert ofc.kernel.dispatch_variant == "fast"
+        assert ofc.kernel._fast_run is run
+        assert ofc.kernel._fast_run_until is run_until
     finally:
         fastpath.set_enabled(original)
 
@@ -488,65 +599,6 @@ def test_fault_injector_respects_global_opt_out():
         FaultInjector(ofc, FaultSchedule(events=[]))
         assert ofc.kernel.dispatch_variant == "generic"
         assert ofc.kernel._fast_run is None
-    finally:
-        fastpath.set_enabled(original)
-
-
-def test_faulted_variant_matches_standard_variant():
-    """The faulted compile unit is the same semantics: a seeded mixed
-    scenario (sleeps, events, interrupts, churn) must trace identically
-    across standard fast, faulted fast, and generic dispatch."""
-
-    def scenario(k, log):
-        gate = k.event()
-
-        def waiter(name):
-            value = yield gate
-            log.append((k.now, name, value))
-            yield k.timeout(0.25)
-            log.append((k.now, name, "done"))
-
-        def sleeper():
-            for i in range(8):
-                yield 0.4
-                log.append((k.now, "tick", i))
-
-        def opener():
-            yield 1.1
-            gate.succeed("open")
-
-        def child(n):
-            yield 0.2 * n
-            return n
-
-        def parent():
-            total = 0
-            for n in range(1, 4):
-                total += yield k.process(child(n))
-            log.append((k.now, "total", total))
-
-        for i in range(3):
-            k.process(waiter(f"w{i}"))
-        k.process(sleeper())
-        k.process(opener())
-        k.process(parent())
-        k.run()
-
-    original = fastpath.enabled()
-    try:
-        fastpath.set_enabled(True)
-        traces = []
-        for setup in (
-            lambda k: None,
-            lambda k: k.use_faulted_dispatch(),
-            lambda k: k.use_generic_dispatch(),
-        ):
-            k = Kernel()
-            setup(k)
-            log = []
-            scenario(k, log)
-            traces.append((log, k.now))
-        assert traces[0] == traces[1] == traces[2]
     finally:
         fastpath.set_enabled(original)
 
