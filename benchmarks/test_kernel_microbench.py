@@ -1,40 +1,24 @@
 """Kernel event-loop throughput, with and without tracing.
 
-The fast-path work (PR: simulator fast path) is judged on events per
-second here; ``repro perf`` tracks the same patterns over time in
-``BENCH_perf.json``.  Tracing is a per-kernel decision made at
-construction, so a kernel built while tracing is disabled must pay
-(almost) nothing for the observability layer — the null-tracer run
-asserts that bound.
+The kernel fast path is judged on events per second here, over the
+patterns of :data:`repro.bench.perfbench.KERNEL_PATTERNS`.  Tracing is
+a per-kernel decision made at construction, so a kernel built while
+tracing is disabled must pay (almost) nothing for the observability
+layer — the null-tracer run asserts that bound.
 """
-
-from time import perf_counter
 
 from benchmarks.conftest import save_result
 from repro.bench.perfbench import KERNEL_PATTERNS
 from repro.bench.reporting import format_table
 from repro.obs import enable_tracing, reset_tracing
-from repro.sim import Kernel
 
 N = 50_000
-
-
-def _sleep_chain_events_per_sec(n: int = N) -> float:
-    kernel = Kernel()
-
-    def proc():
-        for _ in range(n):
-            yield 1.0
-
-    kernel.process(proc())
-    start = perf_counter()
-    kernel.run()
-    return n / (perf_counter() - start)
+_sleep_chain_events_per_sec = KERNEL_PATTERNS["sleep"]
 
 
 def test_kernel_sleep_chain(benchmark):
     rate = benchmark.pedantic(
-        _sleep_chain_events_per_sec, rounds=3, iterations=1
+        _sleep_chain_events_per_sec, args=(N,), rounds=3, iterations=1
     )
     # Even on slow shared CI hardware the sleep fast path clears this
     # floor by a wide margin (dev machine: ~2M events/s).
@@ -61,13 +45,15 @@ def test_null_tracer_overhead_is_bounded(benchmark):
     # Tracing off (the default): kernels get the shared NULL_TRACER and
     # the run loop never consults it on the hot path.
     reset_tracing()
-    off = max(_sleep_chain_events_per_sec() for _ in range(3))
+    off = max(_sleep_chain_events_per_sec(N) for _ in range(3))
     try:
         enable_tracing()
-        on = max(_sleep_chain_events_per_sec() for _ in range(3))
+        on = max(_sleep_chain_events_per_sec(N) for _ in range(3))
     finally:
         reset_tracing()
-    benchmark.pedantic(_sleep_chain_events_per_sec, rounds=1, iterations=1)
+    benchmark.pedantic(
+        _sleep_chain_events_per_sec, args=(N,), rounds=1, iterations=1
+    )
     # Plain processes are not traced individually, so enabling tracing
     # must not halve kernel throughput (observed: well under 10%).
     assert on > 0.5 * off, f"tracing on {on:,.0f} vs off {off:,.0f} ev/s"

@@ -24,19 +24,26 @@ sleep chains are the headline (≥2x everywhere), churn/event carry the
 fused-delivery win (must not lose), and chain is flat by design
 (Timeout construction dominates; the floor only catches a real loss).
 
-Finally a small seeded chaos cell (fault injector + history
-recorder) runs under both dispatchers; the two results must be
-*identical* — the system-scale parity gate for fast vs generic
-dispatch under faults — and its deterministic counters (ops/completed/
-failed/violations) are exact-gated through the ``micro`` section so
-the fault-injected workload itself cannot silently drift.
+A small seeded chaos cell (fault injector + history recorder) runs
+under both dispatchers; the two results must be *identical* — the
+system-scale parity gate for fast vs generic dispatch under faults —
+and its deterministic counters (ops/completed/failed/violations) are
+exact-gated through the ``micro`` section so the fault-injected
+workload itself cannot silently drift.  The cell must actually inject
+faults: a schedule with no crash and no episode fails the gate.
+
+Finally a short macro cell runs cold (empty warm-model cache) and then
+warm, best of a few pairs: warm must be at least
+``WARM_MODEL_MIN_SPEEDUP`` times faster (pretraining is skipped), must
+reproduce the cold hit ratio, and its cache-hit count is exact-gated
+through ``micro``.
 
 The baseline file is sectioned (``bench-baseline/v2``): ``headlines``
 holds the Figure 7 latencies (tolerance-gated) and ``micro`` holds
 seeded workload counters (exact-match gated, e.g. the tenants arrival
 count).  *Every* baseline key must have a measured counterpart — a
 benchmark that silently stops running fails the gate instead of
-passing it.  A legacy flat baseline is read as headlines-only.
+passing it.  A baseline with any other schema fails the gate.
 
 The simulation is fully seeded, so on an unchanged tree the measured
 values match the baseline exactly; the 25% tolerance only absorbs
@@ -79,6 +86,12 @@ KERNEL_MIN_RATIO = {
 }
 KERNEL_GATE_N = 100_000
 KERNEL_GATE_REPEATS = 3
+#: A warm-model macro cell must start at least this much faster than a
+#: cold one.  Measured 7.4-7.9x on a 2-CPU container; the floor only
+#: catches "the warm-model cache stopped skipping pretraining".
+WARM_MODEL_MIN_SPEEDUP = 2.0
+WARM_MODEL_CELL_S = 30.0
+WARM_MODEL_PAIRS = 3
 BASELINE_SCHEMA = "bench-baseline/v2"
 BASELINE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "bench_baseline.json"
@@ -158,11 +171,11 @@ def measure_faulted_cell() -> dict:
 
     cell = ChaosCell(
         backend="ofc",
-        intensity="medium",
+        intensity="high",
         quota_policy="none",
         n_tenants=24,
         mean_interval_s=6.0,
-        duration_s=20.0,
+        duration_s=60.0,
         seed=11,
         warmup_s=10.0,
     )
@@ -185,6 +198,11 @@ def measure_faulted_cell() -> dict:
             f"(fields: {', '.join(diverged)})"
         )
     fast = results[True]
+    if fast["crashes"] + fast["episodes"] == 0:
+        raise AssertionError(
+            "faulted cell injected no faults (0 crashes, 0 episodes): "
+            "its fast/generic parity would cover no fault path"
+        )
     return {
         "faults/cell_ops": fast["ops"],
         "faults/cell_completed": fast["completed"],
@@ -193,19 +211,68 @@ def measure_faulted_cell() -> dict:
     }
 
 
+def measure_warm_model() -> tuple:
+    """Cold vs warm-model macro cell, best of ``WARM_MODEL_PAIRS``.
+
+    Returns ``(speedup, warm_hits)``: the best cold/warm wall-time
+    ratio and the warm run's model-cache hit count.  Raises if a warm
+    run's hit ratio differs from its cold run's (a hit must restore
+    bit-identical trainer state).
+    """
+    from time import perf_counter  # noqa: E402
+
+    from repro.bench import model_cache  # noqa: E402
+    from repro.bench.macro import run_macro  # noqa: E402
+    from repro.workloads.faasload import TenantProfile  # noqa: E402
+
+    def timed():
+        start = perf_counter()
+        result = run_macro(
+            "ofc", TenantProfile.NORMAL, duration_s=WARM_MODEL_CELL_S
+        )
+        return result, perf_counter() - start
+
+    original = model_cache.enabled()
+    model_cache.set_enabled(True)
+    speedup = 0.0
+    try:
+        for _ in range(WARM_MODEL_PAIRS):
+            model_cache.clear()
+            cold, cold_s = timed()
+            cold_hits = model_cache.stats()["hits"]
+            warm, warm_s = timed()
+            warm_hits = model_cache.stats()["hits"] - cold_hits
+            if warm.hit_ratio != cold.hit_ratio:
+                raise AssertionError(
+                    f"warm-model cell diverged from cold: hit ratio "
+                    f"{warm.hit_ratio} vs {cold.hit_ratio}"
+                )
+            speedup = max(speedup, cold_s / warm_s)
+    finally:
+        model_cache.clear()
+        model_cache.set_enabled(original)
+    return speedup, warm_hits
+
+
 def load_baseline(path: str) -> dict:
-    """Read the baseline, upgrading a legacy flat file to v2 sections."""
+    """Read the baseline; any schema but ``BASELINE_SCHEMA`` is an error."""
     with open(path, encoding="utf-8") as f:
         loaded = json.load(f)
-    if loaded.get("schema") == BASELINE_SCHEMA:
-        return loaded
-    # Legacy flat format: every key is a headline, no micro section.
-    print("note: legacy flat baseline (regenerate with --write-baseline)")
-    return {"schema": BASELINE_SCHEMA, "headlines": loaded, "micro": {}}
+    if loaded.get("schema") != BASELINE_SCHEMA:
+        raise ValueError(
+            f"{path}: baseline schema {loaded.get('schema')!r} is not "
+            f"{BASELINE_SCHEMA!r} (regenerate with --write-baseline)"
+        )
+    return loaded
 
 
 def export_metrics(
-    headlines: dict, ml: dict, micro: dict, kernel_ratios: dict, out: str
+    headlines: dict,
+    ml: dict,
+    micro: dict,
+    kernel_ratios: dict,
+    warm_speedup: float,
+    out: str,
 ) -> None:
     registry = MetricsRegistry()
     gauge = registry.gauge(
@@ -234,6 +301,13 @@ def export_metrics(
     for pattern, ratio in kernel_ratios.items():
         ratio_gauge.set(float(ratio), pattern=pattern)
     registry.register_collector("fastpath", lambda: dict(kernel_ratios))
+    registry.gauge(
+        "bench_warm_model_speedup",
+        help="macro cell wall time, cold over warm model cache",
+    ).set(float(warm_speedup))
+    registry.register_collector(
+        "warm_model", lambda: {"speedup": warm_speedup}
+    )
     export_json(
         out,
         registry=registry,
@@ -263,8 +337,9 @@ def main(argv=None) -> int:
     # The faulted cell is a gate in itself: it raises on any fast/
     # generic divergence before its counters even reach the baseline.
     micro.update(measure_faulted_cell())
+    warm_speedup, micro["model_cache/warm_cell_hits"] = measure_warm_model()
     kernel_ratios = measure_kernel_ratios()
-    export_metrics(headlines, ml, micro, kernel_ratios, args.out)
+    export_metrics(headlines, ml, micro, kernel_ratios, warm_speedup, args.out)
     print(f"[bench metrics written to {args.out}]")
 
     if args.write_baseline:
@@ -285,7 +360,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    baseline = load_baseline(BASELINE_PATH)
+    try:
+        baseline = load_baseline(BASELINE_PATH)
+    except ValueError as error:
+        print(f"bench gate FAILED: {error}", file=sys.stderr)
+        return 1
 
     failures = []
     if ml["ml_predict_speedup"] < ML_MIN_SPEEDUP:
@@ -301,6 +380,13 @@ def main(argv=None) -> int:
             f"ml gate OK: compiled predict {ml['ml_predict_speedup']:.2f}x "
             f"the recursive walk ({ml['ml_predict_rows_per_sec']:,.0f} rows/s)"
         )
+    if warm_speedup < WARM_MODEL_MIN_SPEEDUP:
+        failures.append(
+            f"warm-model cell: {warm_speedup:.2f}x faster than cold, below "
+            f"the {WARM_MODEL_MIN_SPEEDUP:.1f}x floor"
+        )
+    else:
+        print(f"warm-model gate OK: warm cell {warm_speedup:.2f}x faster")
     for pattern, floor in sorted(KERNEL_MIN_RATIO.items()):
         ratio = kernel_ratios[pattern]
         if ratio < floor:

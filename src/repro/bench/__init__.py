@@ -18,8 +18,9 @@ tree wraps these drivers in pytest-benchmark targets, and the
 | Figure 10      | :mod:`repro.bench.fig10`             |
 
 Sweeps fan their independent cells across processes via
-:mod:`repro.bench.runner`; :mod:`repro.bench.perfbench` tracks the
-simulator's own wall-clock performance (``repro perf``).
+:mod:`repro.bench.runner`; :mod:`repro.bench.perfbench` holds the
+kernel and ML microbenchmarks that ``scripts/check_bench.py`` gates.
+The simulator's end-to-end speed is measured by ``repobench/run.py``.
 """
 
 from repro.bench.envs import (

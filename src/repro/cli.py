@@ -8,7 +8,6 @@ Usage::
     python -m repro.cli report --quick
     python -m repro.cli fig9 --trace results/fig9-trace.json
     python -m repro.cli fig8 --workers 8
-    python -m repro.cli perf --quick
     python -m repro.cli tenants --quick --workers 2
     python -m repro.cli cachewars --quick
     python -m repro.cli faults
@@ -22,9 +21,7 @@ across processes; ``--workers N`` caps the fan-out (``--workers 1``
 forces the serial path, the default is one worker per core).
 
 ``report`` runs the macro workload and dumps the unified observability
-JSON (metrics + span summary) to ``--out``.  ``perf`` benchmarks the
-simulator itself (kernel events/sec, macro sim-s/wall-s, sweep wall
-time) and appends an entry to the ``--bench-out`` trajectory file.
+JSON (metrics + span summary) to ``--out``.
 ``tenants`` streams a synthesized multi-tenant population (Zipf app
 popularity, diurnal/bursty arrivals) through OFC, sweeps tenant count
 × skew × cache quota policy, and writes the per-tenant hit-ratio and
@@ -397,28 +394,6 @@ def _report(quick: bool, out: str) -> str:
     return run_report(quick=quick, out=out)
 
 
-def _perf(quick: bool, workers, out: str, label=None) -> str:
-    from repro.bench.perfbench import (
-        find_comparable,
-        format_delta,
-        format_entry,
-        record,
-        run_perf,
-    )
-
-    entry = run_perf(quick=quick, workers=workers, label=label)
-    doc = record(entry, path=out)
-    # The appended entry is last; the delta line makes regressions
-    # visible directly in CI logs instead of only in the artifact.
-    previous = find_comparable(doc["entries"][:-1], entry)
-    return (
-        format_entry(entry)
-        + "\n"
-        + format_delta(entry, previous)
-        + f"\n[entry appended to {out}]"
-    )
-
-
 EXPERIMENTS: Dict[str, Callable[..., str]] = {
     "fig2": _fig2,
     "fig3": _fig3,
@@ -451,8 +426,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        help="experiment names, 'all', 'list', 'report', 'perf', "
-        "'tenants', 'cachewars', 'chaos', or 'run'",
+        help="experiment names, 'all', 'list', 'report', 'tenants', "
+        "'cachewars', 'chaos', or 'run'",
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller sample counts"
@@ -496,19 +471,6 @@ def main(argv=None) -> int:
         help="output path for the 'chaos' fuzzing grid JSON",
     )
     parser.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default="BENCH_perf.json",
-        help="trajectory file the 'perf' command appends to",
-    )
-    parser.add_argument(
-        "--label",
-        metavar="TEXT",
-        default=None,
-        help="label recorded with the 'perf' trajectory entry "
-        "(default: 'quick' or 'full')",
-    )
-    parser.add_argument(
         "--no-model-cache",
         action="store_true",
         help="disable the shared warm-model cache (cold pretraining "
@@ -533,7 +495,6 @@ def main(argv=None) -> int:
         for name in EXPERIMENTS:
             print(name)
         print("report")
-        print("perf")
         print("tenants")
         print("cachewars")
         print("chaos")
@@ -557,7 +518,6 @@ def main(argv=None) -> int:
             runner = EXPERIMENTS.get(name)
             if runner is None and name not in (
                 "report",
-                "perf",
                 "tenants",
                 "cachewars",
                 "chaos",
@@ -568,15 +528,6 @@ def main(argv=None) -> int:
             try:
                 if name == "report":
                     print(_report(args.quick, args.out))
-                elif name == "perf":
-                    print(
-                        _perf(
-                            args.quick,
-                            args.workers,
-                            args.bench_out,
-                            label=args.label,
-                        )
-                    )
                 elif name == "tenants":
                     print(_tenants(args.quick, args.workers, args.grid_out))
                 elif name == "cachewars":

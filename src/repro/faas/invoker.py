@@ -332,18 +332,11 @@ class Invoker:
                     f"{memory_mb:.0f} MB"
                 )
         self.stats.resizes += 1
-        if self.kernel._tracing:
-            # Keep the process (and its span) under tracing.
-            def background_update():
-                yield DOCKER_UPDATE.sample(self.rng)
-
-            self.kernel.process(background_update(), name="docker-update")
-        else:
-            # Slot-identical fire-and-forget sleep: the delay thunk runs
-            # at the bootstrap-resume position, so the RNG draw lands at
-            # the same point in the stream as the generator body did.
-            rng = self.rng
-            self.kernel.call_later(lambda: DOCKER_UPDATE.sample(rng))
+        # Slot-identical fire-and-forget sleep: the delay thunk runs at
+        # the bootstrap-resume position, so the RNG draw lands at the
+        # same point in the stream as a generator body would.
+        rng = self.rng
+        self.kernel.call_later(lambda: DOCKER_UPDATE.sample(rng))
 
     def destroy_sandbox(self, sandbox: Sandbox, reaped: bool = False) -> None:
         if not sandbox.alive:
@@ -362,20 +355,6 @@ class Invoker:
             timeout_s = self.keepalive_policy.timeout_for(sandbox)
         else:
             timeout_s = self.keepalive_s
-
-        if self.kernel._tracing:
-            # Keep the process (and its span) under tracing.
-            def reaper():
-                yield timeout_s
-                if (
-                    sandbox.alive
-                    and sandbox.idle
-                    and sandbox.use_generation == generation
-                ):
-                    self.destroy_sandbox(sandbox, reaped=True)
-
-            self.kernel.process(reaper(), name=f"reap-{sandbox.sandbox_id}")
-            return
 
         # One reap timer per invocation end is hot; call_later replaces
         # the generator+Process with two plain events on the exact same

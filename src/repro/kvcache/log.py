@@ -12,7 +12,7 @@ the live bytes it relocates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.kvcache.errors import CacheError
 from repro.sim.latency import MB
@@ -73,9 +73,10 @@ class ObjectLog:
         self.stats = LogStats()
         #: Running total of live bytes across segments (exact: ints).
         self._live_total = 0
-        #: Memoized ``footprint_bytes``; ``None`` marks it stale (every
-        #: mutation goes through append/delete/clean, which invalidate).
-        self._footprint_cache: Optional[int] = 0
+        #: Running total of the capacities of segments holding any bytes
+        #: (exact: ints): charged when a segment's first entry lands,
+        #: released when a used segment is freed.
+        self._footprint = 0
 
     def _new_segment(self, capacity: int = 0) -> Segment:
         segment = Segment(capacity=capacity or self.segment_size)
@@ -95,12 +96,7 @@ class ObjectLog:
         A never-written (fully empty) segment is only a reservation and
         is not charged against the pool, so an empty log has footprint 0.
         """
-        cached = self._footprint_cache
-        if cached is None:
-            cached = self._footprint_cache = sum(
-                seg.capacity for seg in self._segments if seg.used_bytes > 0
-            )
-        return cached
+        return self._footprint
 
     @property
     def segment_count(self) -> int:
@@ -131,11 +127,12 @@ class ObjectLog:
             segment = self._head
         else:
             segment = self._head
+        if size and not segment.used_bytes:
+            self._footprint += segment.capacity
         segment.live[key] = size
         segment.live_total += size
         self._live_total += size
         self._locations[key] = segment
-        self._footprint_cache = None
         self.stats.appends += 1
 
     def delete(self, key: str) -> int:
@@ -147,13 +144,17 @@ class ObjectLog:
         segment.live_total -= size
         segment.dead_bytes += size
         self._live_total -= size
-        self._footprint_cache = None
         self.stats.deletes += 1
         # A fully dead, non-head segment is reclaimed immediately.
         if segment is not self._head and not segment.live:
-            self._segments.remove(segment)
-            self.stats.segments_freed += 1
+            self._free(segment)
         return size
+
+    def _free(self, segment: Segment) -> None:
+        self._segments.remove(segment)
+        if segment.used_bytes:
+            self._footprint -= segment.capacity
+        self.stats.segments_freed += 1
 
     def clean(self, max_utilization: float = 0.75) -> Tuple[int, int]:
         """Relocate live entries out of under-utilized closed segments.
@@ -178,9 +179,7 @@ class ObjectLog:
                 self.append(key, size)
                 relocated += size
             if segment in self._segments:
-                self._segments.remove(segment)
-                self._footprint_cache = None
-                self.stats.segments_freed += 1
+                self._free(segment)
             freed += 1
         self.stats.cleanings += 1
         self.stats.relocated_bytes += relocated

@@ -160,3 +160,39 @@ def test_clean_after_mass_delete_reclaims_everything(sizes):
     assert log.live_bytes == 0
     # Only the head segment may remain allocated.
     assert log.footprint_bytes <= SEGMENT_SIZE
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["put", "del", "clean"]),
+            st.integers(min_value=0, max_value=12),
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=1, max_value=SEGMENT_SIZE // 3),
+                st.integers(min_value=SEGMENT_SIZE - 64, max_value=SEGMENT_SIZE),
+                st.integers(min_value=SEGMENT_SIZE + 1, max_value=SEGMENT_SIZE * 3),
+            ),
+            st.sampled_from([0.25, 0.75, 1.0]),
+        ),
+        max_size=60,
+    )
+)
+def test_footprint_counter_matches_used_segments(ops):
+    """The incremental footprint equals the capacity of every segment
+    holding bytes, after any append/delete/clean sequence (zero-size
+    and jumbo entries included)."""
+    log = ObjectLog()
+    for op, key_id, size, max_utilization in ops:
+        key = f"k{key_id}"
+        if op == "put":
+            log.append(key, size)
+        elif op == "del":
+            if key in log:
+                log.delete(key)
+        else:
+            log.clean(max_utilization=max_utilization)
+        assert log.footprint_bytes == sum(
+            seg.capacity for seg in log._segments if seg.used_bytes > 0
+        )
