@@ -232,8 +232,6 @@ def measure_warm_model() -> tuple:
         )
         return result, perf_counter() - start
 
-    original = model_cache.enabled()
-    model_cache.set_enabled(True)
     speedup = 0.0
     try:
         for _ in range(WARM_MODEL_PAIRS):
@@ -250,7 +248,6 @@ def measure_warm_model() -> tuple:
             speedup = max(speedup, cold_s / warm_s)
     finally:
         model_cache.clear()
-        model_cache.set_enabled(original)
     return speedup, warm_hits
 
 

@@ -134,21 +134,19 @@ def pretrain_function(
     from repro.bench import model_cache
     from repro.faas.records import InvocationRecord, InvocationRequest, Phases
 
-    cache_key = None
-    if model_cache.enabled():
-        cache_key = model_cache.pretrain_key(
-            model.name,
-            tenant,
-            n_samples,
-            seed,
-            descriptors,
-            ofc.trainer.config,
-            ofc.trainer.rsds_profile,
-        )
-        cached = model_cache.lookup(cache_key)
-        if cached is not None:
-            ofc.trainer.adopt_models(cached)
-            return
+    cache_key = model_cache.pretrain_key(
+        model.name,
+        tenant,
+        n_samples,
+        seed,
+        descriptors,
+        ofc.trainer.config,
+        ofc.trainer.rsds_profile,
+    )
+    cached = model_cache.lookup(cache_key)
+    if cached is not None:
+        ofc.trainer.adopt_models(cached)
+        return
 
     rng = np.random.default_rng(seed)
     spec_key = f"{tenant}/{model.name}"
@@ -176,5 +174,4 @@ def pretrain_function(
         ofc.trainer.on_completion(record)
     models = ofc.trainer.models_for(spec_key)
     ofc.trainer.retrain(models)
-    if cache_key is not None:
-        model_cache.store(cache_key, models)
+    model_cache.store(cache_key, models)

@@ -134,7 +134,7 @@ def _fig8_cell(cell) -> Fig8Row:
         # so growth never requires a shrink.
         agent = ofc.agents[node_id]
         ofc.kernel.run_until(ofc.kernel.process(agent._shrink_to(64 * MB)))
-        agent.invoker.cache_reserved_mb = 64.0
+        agent.invoker.cache_reserved_bytes = 64 * MB
         agent.invoker.listeners.remove(agent._on_sandbox_event)
     elif scenario == "Sc2":
         _fill_cache(ofc, node_id)

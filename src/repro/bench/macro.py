@@ -172,24 +172,23 @@ def prewarm_macro_models(
     """
     from repro.bench import model_cache
 
-    if model_cache.enabled():
-        deployment = build_ofc_env(nodes=nodes, node_mb=node_mb, seed=seed)
-        injector = FaaSLoad(
-            deployment.kernel,
-            deployment.platform,
-            deployment.store,
-            rng=np.random.default_rng(seed),
-        )
-        injector.prepare(_tenant_specs(profile, tenants_per_workload))
-        for runtime in injector.tenants:
-            if runtime.model is not None:
-                pretrain_function(
-                    deployment,
-                    runtime.model,
-                    runtime.descriptors,
-                    tenant=runtime.spec.tenant_id,
-                    seed=seed,
-                )
+    deployment = build_ofc_env(nodes=nodes, node_mb=node_mb, seed=seed)
+    injector = FaaSLoad(
+        deployment.kernel,
+        deployment.platform,
+        deployment.store,
+        rng=np.random.default_rng(seed),
+    )
+    injector.prepare(_tenant_specs(profile, tenants_per_workload))
+    for runtime in injector.tenants:
+        if runtime.model is not None:
+            pretrain_function(
+                deployment,
+                runtime.model,
+                runtime.descriptors,
+                tenant=runtime.spec.tenant_id,
+                seed=seed,
+            )
     return model_cache.export_blob()
 
 

@@ -21,44 +21,20 @@ and :func:`preload_blob` is a ``ProcessPoolExecutor`` initializer that
 installs it in each worker (wired through ``repro.bench.runner``).
 
 Invalidation: the key covers everything the pretraining result depends
-on, so stale hits cannot happen across configs/seeds; ``clear()`` (or
-``REPRO_MODEL_CACHE=0`` to disable entirely) handles code changes to
-the trainer/tree themselves within one process.
+on, so stale hits cannot happen across configs/seeds.  The cache lives
+in one process, so a code change always starts from an empty cache;
+``clear()`` empties it within a process (a cold run).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any, Dict, Optional, Sequence
 
 _CACHE: Dict[str, bytes] = {}
 _STATS = {"hits": 0, "misses": 0, "stores": 0}
-_ENABLED = os.environ.get("REPRO_MODEL_CACHE", "1") != "0"
-
-
-def enabled() -> bool:
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> None:
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-@contextmanager
-def disabled():
-    """Temporarily bypass the cache (the cold path, for comparisons)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def clear() -> None:

@@ -471,12 +471,6 @@ def main(argv=None) -> int:
         help="output path for the 'chaos' fuzzing grid JSON",
     )
     parser.add_argument(
-        "--no-model-cache",
-        action="store_true",
-        help="disable the shared warm-model cache (cold pretraining "
-        "in every sweep cell)",
-    )
-    parser.add_argument(
         "--faults",
         metavar="PATH",
         default=None,
@@ -503,10 +497,6 @@ def main(argv=None) -> int:
     names = (
         list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
     )
-    if args.no_model_cache:
-        from repro.bench import model_cache
-
-        model_cache.set_enabled(False)
     tracing = args.trace is not None
     if tracing:
         from repro.obs import enable_tracing, reset_tracing

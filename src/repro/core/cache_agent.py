@@ -19,6 +19,7 @@ slack pool from a sliding window of memory churn.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Generator, List, Optional
 
@@ -26,7 +27,7 @@ from repro.core.config import OFCConfig
 from repro.core.metrics import OFCMetrics
 from repro.core.persistor import PersistorService
 from repro.faas.invoker import Invoker
-from repro.faas.sandbox import Sandbox
+from repro.faas.sandbox import Sandbox, limit_bytes
 from repro.kvcache.cluster import CacheCluster
 from repro.kvcache.errors import CapacityExceeded, NoSuchKey
 from repro.sim.kernel import Kernel
@@ -66,9 +67,10 @@ class CacheAgent:
         self._churn_samples: deque = deque(
             maxlen=self.config.churn_window_samples
         )
-        self._last_committed_mb: Optional[float] = None
+        self._last_committed_bytes: Optional[int] = None
+        self._slack_floor_bytes = limit_bytes(self.config.slack_initial_mb)
         # Wire into the invoker.
-        invoker.slack_mb = self.config.slack_initial_mb
+        invoker.slack_bytes = self._slack_floor_bytes
         invoker.listeners.append(self._on_sandbox_event)
         invoker.ensure_capacity = self.ensure_capacity
         self._started = False
@@ -93,14 +95,11 @@ class CacheAgent:
     def target_capacity_bytes(self) -> int:
         """The cache gets everything sandboxes and slack do not hold,
         up to the optional per-node harvest ceiling."""
-        free_mb = (
-            self.invoker.total_memory_mb
-            - self.invoker.committed_mb
-            - self.invoker.slack_mb
-        )
+        invoker = self.invoker
+        free = invoker.total_bytes - invoker.committed_bytes - invoker.slack_bytes
         if self.config.cache_cap_mb is not None:
-            free_mb = min(free_mb, self.config.cache_cap_mb)
-        return max(0, int(free_mb * MB))
+            free = min(free, int(self.config.cache_cap_mb * MB))
+        return max(0, free)
 
     def _on_sandbox_event(self, event: str, sandbox: Sandbox) -> None:
         self._queue_retarget()
@@ -121,7 +120,7 @@ class CacheAgent:
         if target > current:
             started = self.kernel.now
             yield from self.cluster.scale_up(self.node_id, target - current)
-            self.invoker.cache_reserved_mb = self.server.capacity / MB
+            self.invoker.cache_reserved_bytes = self.server.capacity
             self.metrics.scale_ups += 1
             self.metrics.scale_up_time_s += self.kernel.now - started
             span.annotate(direction="grow")
@@ -242,7 +241,7 @@ class CacheAgent:
             yield from self.cluster.scale_down(
                 self.node_id, new_capacity, evicting=evicted
             )
-        self.invoker.cache_reserved_mb = self.server.capacity / MB
+        self.invoker.cache_reserved_bytes = self.server.capacity
         if migrated:
             self.metrics.scale_downs_migration += 1
         elif evicted:
@@ -283,18 +282,18 @@ class CacheAgent:
 
     # -- invoker hook ------------------------------------------------------------------
 
-    def ensure_capacity(self, invoker: Invoker, needed_mb: float) -> Generator:
+    def ensure_capacity(self, invoker: Invoker) -> Generator:
         """Release node memory from the cache until the invoker's
-        accounting balances.
+        ledger balances.
 
         The shortfall is recomputed on every round: while one shrink is
         in flight, more sandboxes may commit memory concurrently, so a
         target computed up front goes stale immediately.
         """
         for _round in range(4):
-            shortfall_mb = -invoker.available_mb
-            if shortfall_mb <= 1e-3:
-                break
+            shortfall = -invoker.available_bytes
+            if shortfall <= 0:
+                return True
             # Fast-fail when the cache cannot possibly cover the
             # shortfall: under heavy cold-start churn many creations
             # hold committed memory while queueing on the shrink lock,
@@ -302,15 +301,10 @@ class CacheAgent:
             # the shortfall.  Draining the whole cache for a request
             # that still cannot fit only deepens the convoy — reject
             # immediately and let the scheduler try another node.
-            if shortfall_mb * MB > self.server.capacity + 1:
+            if shortfall > self.server.capacity:
                 return False
-            target = max(
-                0, self.server.capacity - int(shortfall_mb * MB)
-            )
-            yield from self._shrink_to(target)
-            if invoker.available_mb >= -1e-3:
-                break
-        return invoker.available_mb >= -1e-3
+            yield from self._shrink_to(self.server.capacity - shortfall)
+        return invoker.available_bytes >= 0
 
     # -- periodic eviction (§6.3) ----------------------------------------
 
@@ -387,16 +381,16 @@ class CacheAgent:
         ticks = 0
         while True:
             yield sample_period
-            committed = self.invoker.committed_mb
-            if self._last_committed_mb is not None:
+            committed = self.invoker.committed_bytes
+            if self._last_committed_bytes is not None:
                 self._churn_samples.append(
-                    abs(committed - self._last_committed_mb)
+                    abs(committed - self._last_committed_bytes)
                 )
-            self._last_committed_mb = committed
+            self._last_committed_bytes = committed
             ticks += 1
             if ticks % adjust_every == 0 and self._churn_samples:
                 churn = sum(self._churn_samples) / len(self._churn_samples)
-                self.invoker.slack_mb = max(
-                    self.config.slack_initial_mb, churn
+                self.invoker.slack_bytes = max(
+                    self._slack_floor_bytes, math.ceil(churn)
                 )
                 self._queue_retarget()

@@ -6,6 +6,7 @@ from typing import List, Optional
 
 from repro.faas.invoker import Invoker
 from repro.faas.records import InvocationRequest
+from repro.faas.sandbox import limit_bytes
 from repro.faas.scheduler import Scheduler
 
 
@@ -53,7 +54,7 @@ class OFCScheduler(Scheduler):
             ranked.append(
                 (
                     abs(sandbox.memory_limit_mb - memory_mb),  # (i)
-                    -invoker.available_mb,  # (ii)
+                    -invoker.available_bytes,  # (ii)
                     0 if invoker.node_id == locality else 1,  # (iii)
                     -sandbox.last_used_at,  # (iv)
                     invoker,
@@ -66,10 +67,11 @@ class OFCScheduler(Scheduler):
         # 2. No warm sandbox: create one, preferably where the master
         # cached copy of the input lives.
         if locality is not None:
+            needed = limit_bytes(memory_mb)
             for invoker in candidates:
                 if invoker.node_id == locality and (
-                    invoker.available_mb >= memory_mb
-                    or invoker.cache_reserved_mb >= memory_mb
+                    invoker.available_bytes >= needed
+                    or invoker.cache_reserved_bytes >= needed
                 ):
                     return invoker
 
@@ -77,5 +79,5 @@ class OFCScheduler(Scheduler):
         # (free + cache, since the CacheAgent can hand cache memory back).
         return max(
             candidates,
-            key=lambda inv: inv.available_mb + inv.cache_reserved_mb,
+            key=lambda inv: inv.available_bytes + inv.cache_reserved_bytes,
         )

@@ -9,7 +9,7 @@ from repro.faas.dataclient import DataClient
 from repro.faas.errors import OOMKilled, ResourceExhausted
 from repro.faas.records import InvocationRecord
 from repro.faas.registry import FunctionSpec
-from repro.faas.sandbox import Sandbox, SandboxState
+from repro.faas.sandbox import Sandbox, SandboxState, limit_bytes
 from repro.sim.kernel import Kernel
 from repro.sim.latency import COLD_START, DOCKER_UPDATE, WARM_START
 
@@ -20,9 +20,6 @@ COMPUTE_SLICES = 20
 
 #: Tolerance on limit checks (cgroup accounting is page-granular).
 _LIMIT_EPS_MB = 0.5
-
-#: Tolerance on node memory arithmetic (float MB <-> byte conversions).
-_MEM_EPS_MB = 1e-3
 
 
 @dataclass
@@ -163,10 +160,13 @@ class InvocationContext:
 class Invoker:
     """One worker node: memory arbitration plus sandbox management.
 
-    Node memory is split between sandboxes (``committed_mb``), the OFC
-    cache (``cache_reserved_mb``, driven by the CacheAgent), the OFC
-    slack pool (``slack_mb``, §6.4) and free memory.  The baselines
-    leave the cache and slack at zero.
+    Node memory is split, in whole bytes, between sandboxes
+    (``committed_bytes``), the OFC cache (``cache_reserved_bytes``,
+    driven by the CacheAgent), the OFC slack pool (``slack_bytes``,
+    §6.4) and free memory.  The baselines leave the cache and slack at
+    zero.  ``committed_bytes`` is a ledger charged when a sandbox is
+    created or resized and released when it is forgotten, so it always
+    equals the sum of the indexed sandboxes' ``memory_bytes``.
     """
 
     def __init__(
@@ -179,26 +179,19 @@ class Invoker:
     ):
         self.kernel = kernel
         self.node_id = node_id
-        self.total_memory_mb = total_memory_mb
+        self.total_bytes = limit_bytes(total_memory_mb)
         self.keepalive_s = keepalive_s
         self.rng = rng
-        self.sandboxes: List[Sandbox] = []
-        #: Creation-ordered sandboxes per function key (a view over
-        #: ``sandboxes``): warm-start lookup scans one function's
-        #: sandboxes instead of the whole node.
-        self._by_function: Dict[str, List[Sandbox]] = {}
-        #: Memoized ``committed_mb``; ``None`` marks it stale.  Every
-        #: mutation of the committed set funnels through ``_notify``
-        #: (create/destroy/resize), which invalidates, and the
-        #: recompute evaluates the exact original expression so the
-        #: float result is bit-identical to an uncached scan.
-        self._committed_cache: Optional[float] = None
-        self.cache_reserved_mb = 0.0
-        self.slack_mb = 0.0
+        #: Live sandboxes per function key, in creation order.
+        self.sandboxes: Dict[str, List[Sandbox]] = {}
+        self.committed_bytes = 0
+        self.cache_reserved_bytes = 0
+        self.slack_bytes = 0
         #: Optional adaptive keep-alive policy; None = fixed timeout.
         self.keepalive_policy = None
-        #: Hook: generator ``(invoker, needed_mb) -> bool`` that tries to
-        #: free node memory (OFC shrinks its cache here).
+        #: Hook: generator ``(invoker) -> bool`` that tries to bring
+        #: ``available_bytes`` back to zero or above (OFC shrinks its
+        #: cache here).
         self.ensure_capacity: Optional[Callable[..., Generator]] = None
         #: Callbacks ``(event, sandbox)`` with event in {"created",
         #: "destroyed", "resized"}; OFC's CacheAgent listens to retarget
@@ -209,55 +202,45 @@ class Invoker:
     # -- memory accounting -------------------------------------------------
 
     @property
-    def committed_mb(self) -> float:
-        cached = self._committed_cache
-        if cached is None:
-            cached = self._committed_cache = sum(
-                s.memory_limit_mb for s in self.sandboxes if s.alive
-            )
-        return cached
-
-    @property
-    def available_mb(self) -> float:
+    def available_bytes(self) -> int:
         return (
-            self.total_memory_mb
-            - self.committed_mb
-            - self.cache_reserved_mb
-            - self.slack_mb
+            self.total_bytes
+            - self.committed_bytes
+            - self.cache_reserved_bytes
+            - self.slack_bytes
         )
 
     def _notify(self, event: str, sandbox: Sandbox) -> None:
-        self._committed_cache = None
         for listener in self.listeners:
             listener(event, sandbox)
 
+    def _set_limit(self, sandbox: Sandbox, memory_mb: float) -> None:
+        """Apply a new limit and charge its byte delta to the ledger."""
+        old_bytes = sandbox.memory_bytes
+        sandbox.set_limit(memory_mb)
+        self.committed_bytes += sandbox.memory_bytes - old_bytes
+
     def _forget(self, sandbox: Sandbox) -> None:
-        """Drop a sandbox from the node lists (idempotent)."""
-        if sandbox in self.sandboxes:
-            self.sandboxes.remove(sandbox)
-        peers = self._by_function.get(sandbox.function_key)
+        """Unindex a sandbox and release its memory (idempotent)."""
+        peers = self.sandboxes.get(sandbox.function_key)
         if peers is not None and sandbox in peers:
             peers.remove(sandbox)
+            self.committed_bytes -= sandbox.memory_bytes
 
-    def _make_room(self, needed_mb: float):
-        """Try to free ``needed_mb`` of node memory via the hook."""
-        if needed_mb <= self.available_mb + _MEM_EPS_MB:
-            return True
+    def _make_room(self):
+        """Ask the hook to bring ``available_bytes`` back to zero."""
         if self.ensure_capacity is None:
             return False
-        freed = yield from self.ensure_capacity(self, needed_mb - self.available_mb)
-        return bool(freed) and self.available_mb >= needed_mb - _MEM_EPS_MB
+        freed = yield from self.ensure_capacity(self)
+        return bool(freed) and self.available_bytes >= 0
 
     # -- sandbox management ---------------------------------------------------
 
     def idle_sandboxes(self, function_key: str) -> List[Sandbox]:
-        # The per-function view preserves creation order, so this is the
-        # exact subsequence the full-node scan produced (ties in
-        # find_sandbox resolve to the same sandbox).
-        indexed = self._by_function.get(function_key)
+        indexed = self.sandboxes.get(function_key)
         if not indexed:
             return []
-        return [s for s in indexed if s.alive and s.idle]
+        return [s for s in indexed if s.idle]
 
     def find_sandbox(
         self, function_key: str, preferred_mb: Optional[float] = None
@@ -283,16 +266,16 @@ class Invoker:
     ) -> Generator[Any, Any, Sandbox]:
         """Cold-start a new sandbox; raises ResourceExhausted on OOM node.
 
-        The memory is committed (sandbox appended) *before* any yield so
-        that concurrent cache retargeting sees the reservation and
-        cannot re-grow the cache into it.
+        The memory is committed *before* any yield so that concurrent
+        cache retargeting sees the reservation and cannot re-grow the
+        cache into it.
         """
         sandbox = Sandbox(self.node_id, spec.key, memory_mb, self.kernel.now)
-        self.sandboxes.append(sandbox)
-        self._by_function.setdefault(spec.key, []).append(sandbox)
+        self.sandboxes.setdefault(spec.key, []).append(sandbox)
+        self.committed_bytes += sandbox.memory_bytes
         self._notify("created", sandbox)
-        if self.available_mb < -_MEM_EPS_MB:
-            fits = yield from self._make_room(0.0)
+        if self.available_bytes < 0:
+            fits = yield from self._make_room()
             if not fits:
                 self._forget(sandbox)
                 sandbox.kill()
@@ -319,12 +302,12 @@ class Invoker:
         must be reclaimed first.
         """
         old_limit = sandbox.memory_limit_mb
-        sandbox.set_limit(memory_mb)  # commit accounting before yielding
+        self._set_limit(sandbox, memory_mb)  # commit before yielding
         self._notify("resized", sandbox)
-        if memory_mb > old_limit and self.available_mb < -_MEM_EPS_MB:
-            fits = yield from self._make_room(0.0)
+        if memory_mb > old_limit and self.available_bytes < 0:
+            fits = yield from self._make_room()
             if not fits:
-                sandbox.set_limit(old_limit)
+                self._set_limit(sandbox, old_limit)
                 self._notify("resized", sandbox)
                 self.stats.capacity_rejections += 1
                 raise ResourceExhausted(

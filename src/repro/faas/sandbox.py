@@ -8,8 +8,10 @@ invocation for ``keepalive_s`` in anticipation of the next one (§2.1).
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
-from typing import Optional
+
+from repro.sim.latency import MB
 
 _next_id = itertools.count(1)
 
@@ -19,6 +21,11 @@ def reset_sandbox_ids() -> None:
     :func:`repro.faas.reset_id_counters`)."""
     global _next_id
     _next_id = itertools.count(1)
+
+
+def limit_bytes(memory_mb: float) -> int:
+    """A memory size in MB as the whole bytes a node must set aside."""
+    return math.ceil(memory_mb * MB)
 
 
 class SandboxState(Enum):
@@ -42,6 +49,8 @@ class Sandbox:
         self.node_id = node_id
         self.function_key = function_key
         self.memory_limit_mb = memory_limit_mb
+        #: The limit in whole bytes, the unit of the node memory ledger.
+        self.memory_bytes = limit_bytes(memory_limit_mb)
         self.created_at = created_at
         self.last_used_at = created_at
         self.state = SandboxState.STARTING
@@ -100,6 +109,7 @@ class Sandbox:
         if memory_mb <= 0:
             raise ValueError("memory limit must be positive")
         self.memory_limit_mb = memory_mb
+        self.memory_bytes = limit_bytes(memory_mb)
 
     def kill(self) -> None:
         self.state = SandboxState.DEAD

@@ -7,6 +7,7 @@ from typing import List, Optional
 
 from repro.faas.invoker import Invoker
 from repro.faas.records import InvocationRequest
+from repro.faas.sandbox import limit_bytes
 
 
 def home_index(tenant: str, function: str, n_nodes: int) -> int:
@@ -55,9 +56,10 @@ class HomeWorkerScheduler(Scheduler):
             if invoker.idle_sandboxes(request.key):
                 return invoker
         # Second pass: a node with room for a fresh sandbox.
+        needed = limit_bytes(memory_mb)
         for invoker in ordered:
-            if invoker.available_mb >= memory_mb:
+            if invoker.available_bytes >= needed:
                 return invoker
         # Last resort: the node with the most free memory (its
         # ensure-capacity hook may still make room).
-        return max(candidates, key=lambda inv: inv.available_mb)
+        return max(candidates, key=lambda inv: inv.available_bytes)

@@ -21,10 +21,8 @@ from repro.workloads.functions import get_function_model
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     model_cache.clear()
-    model_cache.set_enabled(True)
     yield
     model_cache.clear()
-    model_cache.set_enabled(True)
 
 
 def _short_macro():
@@ -44,13 +42,6 @@ def test_warm_macro_matches_cold_exactly():
     assert warm.total_exec_s == cold.total_exec_s
     assert warm.completed == cold.completed
     assert warm.table2 == cold.table2
-
-
-def test_disabled_cache_stores_nothing():
-    with model_cache.disabled():
-        _short_macro()
-    stats = model_cache.stats()
-    assert stats["stores"] == 0 and stats["entries"] == 0
 
 
 def test_key_covers_inputs():

@@ -10,18 +10,18 @@ from tests.core.conftest import deploy, invoke, seed_images
 def test_slack_grows_with_churn(ofc):
     agent = ofc.agents["w0"]
     # Inject synthetic churn samples directly: mean |delta| = 400 MB.
-    agent._churn_samples.extend([300.0, 500.0, 400.0])
-    agent._last_committed_mb = 0.0
+    agent._churn_samples.extend([300 * MB, 500 * MB, 400 * MB])
+    agent._last_committed_bytes = 0
     # Drive the slack loop through one adjustment window.
     ofc.kernel.run(until=ofc.kernel.now + 130.0)
-    assert agent.invoker.slack_mb >= 100.0
+    assert agent.invoker.slack_bytes >= 100 * MB
 
 
 def test_slack_floor_is_initial_value(ofc):
     agent = ofc.agents["w0"]
-    agent._churn_samples.extend([1.0, 2.0, 1.0])  # tiny churn
+    agent._churn_samples.extend([1 * MB, 2 * MB, 1 * MB])  # tiny churn
     ofc.kernel.run(until=ofc.kernel.now + 130.0)
-    assert agent.invoker.slack_mb == 100.0  # never below the floor
+    assert agent.invoker.slack_bytes == 100 * MB  # never below the floor
 
 
 def test_read_webhook_pushes_from_cache_when_no_persist_pending(ofc):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faas.registry import FunctionSpec
 from repro.sim.latency import KB, MB
 from tests.core.conftest import deploy, invoke, seed_images
 
@@ -45,12 +46,52 @@ def test_ensure_capacity_reclaims_cache_memory(ofc):
     refs = seed_images(ofc, n=1)
     # Commit most node memory to big sandboxes on every node first.
     for node in ofc.platform.invokers:
-        node.total_memory_mb = 2400.0  # shrink nodes: 2048 + slack ~ tight
+        node.total_bytes = 2400 * MB  # shrink nodes: 2048 + slack ~ tight
     record = invoke(ofc, ref=refs[0])
     assert record.status == "ok"
     agent = ofc.agents[record.node]
     # Cache gave back memory: capacity is now tiny.
     assert agent.server.capacity <= 300 * MB
+
+
+def scale_downs(ofc):
+    m = ofc.metrics
+    return (
+        m.scale_downs_plain + m.scale_downs_migration + m.scale_downs_eviction
+    )
+
+
+def test_reclaim_under_fractional_slack_shrinks_once(ofc):
+    """With a slack average that is not a whole byte count, reclaiming
+    for a new sandbox takes exactly one shrink and leaves the node's
+    ledger balanced: the following retarget has nothing to do."""
+    invoker = ofc.platform.invokers[0]
+    agent = ofc.agents[invoker.node_id]
+    # Mean churn (600 MB + 1 B) / 3 once the loop appends its own
+    # zero sample: the slack is set at the first adjustment (t = 120 s).
+    agent._churn_samples.extend([300 * MB + 1, 300 * MB])
+    ofc.kernel.run(until=ofc.kernel.now + 130.0)
+    assert invoker.slack_bytes == 200 * MB + 1
+    assert invoker.available_bytes == 0  # the cache holds all free memory
+    before = scale_downs(ofc)
+
+    def body(ctx):
+        return
+        yield  # pragma: no cover
+
+    ofc.kernel.run_until(
+        ofc.kernel.process(
+            invoker.create_sandbox(FunctionSpec("f", "t0", body), 512.0)
+        )
+    )
+    ofc.kernel.run(until=ofc.kernel.now + 1.0)  # settle retargets
+    assert scale_downs(ofc) == before + 1
+    assert invoker.available_bytes == 0
+    assert agent.target_capacity_bytes() == agent.server.capacity  # steady
+    ups = ofc.metrics.scale_ups
+    agent._queue_retarget()
+    ofc.kernel.run(until=ofc.kernel.now + 1.0)
+    assert (scale_downs(ofc), ofc.metrics.scale_ups) == (before + 1, ups)
 
 
 def test_periodic_eviction_removes_cold_objects(ofc):
@@ -99,14 +140,14 @@ def test_slack_pool_adjusts_with_churn(ofc):
     refs = seed_images(ofc, n=4)
     rng = np.random.default_rng(1)
     agent = ofc.agents[ofc.platform.invokers[0].node_id]
-    assert agent.invoker.slack_mb == 100.0
+    assert agent.invoker.slack_bytes == 100 * MB
     # Generate sandbox churn for a few minutes.
     for _ in range(6):
         invoke(ofc, ref=refs[int(rng.integers(0, 4))])
         ofc.kernel.run(until=ofc.kernel.now + 65.0)
     # Slack never drops below the initial 100 MB floor.
     for invoker in ofc.platform.invokers:
-        assert invoker.slack_mb >= 100.0
+        assert invoker.slack_bytes >= 100 * MB
 
 
 def test_cache_size_series_recorded(ofc):

@@ -86,7 +86,7 @@ def test_routing_prefers_cached_input_node(ofc):
     assert location == first.node  # populated on the executing node
     # Kill the warm sandbox so a new one must be created.
     invoker = ofc.platform.invoker_by_id(first.node)
-    for sandbox in list(invoker.sandboxes):
+    for sandbox in list(invoker.sandboxes[first.request.key]):
         invoker.destroy_sandbox(sandbox)
     second = invoke(ofc, ref=refs[0])
     assert second.node == location  # locality-aware placement
@@ -145,7 +145,8 @@ def test_routing_ranks_sandboxes_by_memory_distance(ofc):
     by_limit = {
         sandbox.memory_limit_mb: sandbox.sandbox_id
         for invoker in ofc.platform.invokers
-        for sandbox in invoker.sandboxes
+        for peers in invoker.sandboxes.values()
+        for sandbox in peers
     }
     assert set(by_limit) == {512.0, 1024.0}
 

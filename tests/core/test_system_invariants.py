@@ -18,7 +18,7 @@ import pytest
 from repro.bench.envs import build_ofc_env
 from repro.faas.records import InvocationRequest
 from repro.kvcache.log import SEGMENT_SIZE
-from repro.sim.latency import KB
+from repro.sim.latency import KB, MB
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
 
@@ -122,8 +122,11 @@ def test_invariants_hold_under_random_workload(seed):
 
     # 3. Node memory accounting stays sane.
     for invoker in ofc.platform.invokers:
-        assert invoker.available_mb >= -1.0
-        assert invoker.committed_mb >= 0.0
+        assert invoker.available_bytes >= -MB
+        assert invoker.committed_bytes >= 0
+        assert invoker.committed_bytes == sum(
+            s.memory_bytes for peers in invoker.sandboxes.values() for s in peers
+        )
 
     # 4. Nothing failed.
     assert all(r.status == "ok" for r in ofc.platform.records)

@@ -1,12 +1,15 @@
 """Unit tests for Invoker memory accounting and sandbox management."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faas.errors import ResourceExhausted
 from repro.faas.invoker import Invoker
 from repro.faas.registry import FunctionSpec
 from repro.faas.sandbox import SandboxState
 from repro.sim import Kernel
+from repro.sim.latency import MB
 
 
 def make_invoker(total_mb=2048.0, keepalive=600.0):
@@ -27,15 +30,15 @@ def run(invoker, gen):
 
 def test_memory_accounting_starts_empty():
     invoker = make_invoker()
-    assert invoker.committed_mb == 0.0
-    assert invoker.available_mb == 2048.0
+    assert invoker.committed_bytes == 0
+    assert invoker.available_bytes == 2048 * MB
 
 
 def test_create_sandbox_commits_memory():
     invoker = make_invoker()
     sandbox = run(invoker, invoker.create_sandbox(spec(), 512.0))
-    assert invoker.committed_mb == 512.0
-    assert invoker.available_mb == 1536.0
+    assert invoker.committed_bytes == 512 * MB
+    assert invoker.available_bytes == 1536 * MB
     assert sandbox.state == SandboxState.IDLE
     assert invoker.stats.cold_starts == 1
 
@@ -45,33 +48,33 @@ def test_create_sandbox_without_room_raises():
     with pytest.raises(ResourceExhausted):
         run(invoker, invoker.create_sandbox(spec(), 512.0))
     # The failed reservation was rolled back.
-    assert invoker.committed_mb == 0.0
+    assert invoker.committed_bytes == 0
     assert invoker.stats.capacity_rejections == 1
 
 
 def test_cache_and_slack_reduce_availability():
     invoker = make_invoker()
-    invoker.cache_reserved_mb = 1024.0
-    invoker.slack_mb = 100.0
-    assert invoker.available_mb == 924.0
+    invoker.cache_reserved_bytes = 1024 * MB
+    invoker.slack_bytes = 100 * MB
+    assert invoker.available_bytes == 924 * MB
 
 
 def test_ensure_capacity_hook_invoked_on_pressure():
     invoker = make_invoker(total_mb=1024.0)
-    invoker.cache_reserved_mb = 900.0
+    invoker.cache_reserved_bytes = 900 * MB
     calls = []
 
-    def hook(inv, needed_mb):
-        calls.append(needed_mb)
-        inv.cache_reserved_mb -= needed_mb
+    def hook(inv):
+        shortfall = -inv.available_bytes
+        calls.append(shortfall)
+        inv.cache_reserved_bytes -= shortfall
         return True
         yield  # pragma: no cover
 
     invoker.ensure_capacity = hook
     run(invoker, invoker.create_sandbox(spec(), 512.0))
-    assert len(calls) == 1
-    assert calls[0] == pytest.approx(388.0)
-    assert invoker.available_mb >= 0.0
+    assert calls == [388 * MB]
+    assert invoker.available_bytes == 0
 
 
 def test_resize_sandbox_reverts_on_failure():
@@ -80,6 +83,7 @@ def test_resize_sandbox_reverts_on_failure():
     with pytest.raises(ResourceExhausted):
         run(invoker, invoker.resize_sandbox(sandbox, 1024.0))
     assert sandbox.memory_limit_mb == 256.0
+    assert invoker.committed_bytes == sandbox.memory_bytes == 256 * MB
 
 
 def test_resize_sandbox_shrink_never_blocks():
@@ -87,7 +91,7 @@ def test_resize_sandbox_shrink_never_blocks():
     sandbox = run(invoker, invoker.create_sandbox(spec(), 512.0))
     run(invoker, invoker.resize_sandbox(sandbox, 128.0))
     assert sandbox.memory_limit_mb == 128.0
-    assert invoker.committed_mb == 128.0
+    assert invoker.committed_bytes == 128 * MB
 
 
 def test_listeners_receive_lifecycle_events():
@@ -152,3 +156,59 @@ def test_destroy_is_idempotent():
     invoker.destroy_sandbox(sandbox)
     invoker.destroy_sandbox(sandbox)
     assert invoker.stats.sandboxes_destroyed == 1
+
+
+def refuse(inv):
+    """An ensure-capacity hook that never frees anything."""
+    return False
+    yield  # pragma: no cover
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["create", "grow", "shrink", "destroy", "reap"]),
+            st.integers(0, 7),
+            # Fractional MB sizes: limits are charged as ceil'd bytes.
+            st.floats(0.5, 600.0, allow_nan=False),
+        ),
+        max_size=40,
+    )
+)
+def test_ledger_matches_indexed_sandboxes(steps):
+    """``committed_bytes`` equals the bytes of the indexed sandboxes,
+    all of them alive, after any create / grow (refused when the node
+    is full) / shrink / destroy / reap sequence."""
+    invoker = make_invoker(total_mb=1024.0, keepalive=5.0)
+    invoker.ensure_capacity = refuse
+    kernel = invoker.kernel
+    created = []
+    for op, pick, mb in steps:
+        sandbox = created[pick % len(created)] if created else None
+        if op == "create":
+            try:
+                created.append(
+                    run(invoker, invoker.create_sandbox(spec(f"f{pick % 3}"), mb))
+                )
+            except ResourceExhausted:
+                pass
+        elif op in ("grow", "shrink") and sandbox is not None and sandbox.alive:
+            limit = sandbox.memory_limit_mb
+            if op == "grow":  # by up to twice the node's free memory
+                target = limit + (invoker.available_bytes / MB + 1.0) * mb / 300.0
+            else:
+                target = limit * mb / 600.0
+            try:
+                run(invoker, invoker.resize_sandbox(sandbox, target))
+            except ResourceExhausted:
+                assert sandbox.memory_limit_mb == limit
+        elif op == "destroy" and sandbox is not None:
+            invoker.destroy_sandbox(sandbox)
+        elif op == "reap" and sandbox is not None and sandbox.idle:
+            invoker._schedule_reap(sandbox)
+            kernel.run(until=kernel.now + invoker.keepalive_s + 1.0)
+            assert not sandbox.alive
+        indexed = [s for peers in invoker.sandboxes.values() for s in peers]
+        assert all(s.alive for s in indexed)
+        assert invoker.committed_bytes == sum(s.memory_bytes for s in indexed)

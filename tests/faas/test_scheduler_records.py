@@ -7,6 +7,7 @@ from repro.faas.records import InvocationRecord, InvocationRequest, Phases
 from repro.faas.registry import FunctionSpec
 from repro.faas.scheduler import home_index, HomeWorkerScheduler
 from repro.sim import Kernel
+from repro.sim.latency import MB
 
 
 def make_invokers(kernel, n=4, total_mb=2048.0):
@@ -54,7 +55,7 @@ def test_scheduler_skips_full_home():
     scheduler = HomeWorkerScheduler()
     request = InvocationRequest(function="f", tenant="t")
     home = invokers[home_index("t", "f", 4)]
-    home.cache_reserved_mb = 512.0  # home is out of memory
+    home.cache_reserved_bytes = 512 * MB  # home is out of memory
     chosen = scheduler.choose_node(request, 256.0, invokers)
     assert chosen is not home
 
